@@ -12,10 +12,11 @@ data/eval pipeline").  This module packs a molecule set into padded arrays
 
 and computes every array-friendly descriptor (Crippen logP, molecular
 weight, TPSA, H-bond donors/acceptors, valences, implicit hydrogens,
-validity screens) as whole-set array ops.  Ring-dependent descriptors reuse
+validity screens) as whole-set array ops.  Ring-dependent descriptors share
 one cached graph context per molecule (components / bridges / ring bonds /
-ring perception, via :mod:`repro.chem.graphs`) instead of the scalar path's
-~6 recomputations.
+ring perception) instead of recomputing them per descriptor as the scalar
+reference does; both compute them with the same :mod:`repro.chem.graphs`
+routines.
 
 Exactness contract: every scorer here is **bit-for-bit equal** to looping
 the scalar reference functions (:func:`repro.chem.qed.qed`,
@@ -24,9 +25,11 @@ the scalar reference functions (:func:`repro.chem.qed.qed`,
 summation order (sequential over atoms, via column-wise accumulation over
 the padded axis — adding the 0.0 padding terms is exact), final
 sigmoid/log/exp transforms go through :mod:`math` per molecule exactly as
-the reference does, and graph tie-breaking is aligned as documented in
-:mod:`repro.chem.graphs`.  The randomized differential suite in
-``tests/chem/test_batch_equivalence.py`` enforces this.
+the reference does, and graph quantities come from the same
+:mod:`repro.chem.graphs` calls the :class:`Molecule` methods make, so ring
+perception's tie-breaking is shared by construction.  The randomized
+differential suite in ``tests/chem/test_batch_equivalence.py`` enforces
+this.
 """
 
 from __future__ import annotations

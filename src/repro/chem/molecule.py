@@ -8,11 +8,13 @@ valence, matching how the paper's molecule matrices omit hydrogens.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import networkx as nx
-
+from . import graphs
 from .periodic import HYDROGEN_WEIGHT, element
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["AROMATIC", "Molecule", "BondOrder"]
 
@@ -167,6 +169,8 @@ class Molecule:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
         """Undirected graph with ``symbol`` node attrs and ``order`` edge attrs."""
+        import networkx as nx
+
         graph = nx.Graph()
         for index, symbol in enumerate(self.symbols):
             graph.add_node(index, symbol=symbol)
@@ -175,7 +179,8 @@ class Molecule:
         return graph
 
     def connected_components(self) -> list[set[int]]:
-        return [set(c) for c in nx.connected_components(self.to_networkx())]
+        """Atom sets of each fragment, ordered by lowest atom index."""
+        return graphs.connected_components(self)
 
     def is_connected(self) -> bool:
         if self.num_atoms == 0:
@@ -185,80 +190,17 @@ class Molecule:
     def rings(self) -> list[list[int]]:
         """SSSR-like ring perception (stand-in for RDKit's GetSSSR).
 
-        For every bond on a cycle, find the smallest ring through it (BFS
-        between its endpoints with the bond removed), then greedily keep the
-        shortest rings that are linearly independent over GF(2) of the edge
-        space, up to the cyclomatic number.  This matches
-        ``nx.minimum_cycle_basis`` on molecular graphs but is ~50x faster,
-        which matters because dataset generation rings thousands of
-        molecules.
+        The smallest ring through every ring bond, then a greedy
+        GF(2)-independent basis up to the cyclomatic number; see
+        :func:`repro.chem.graphs.rings`.
         """
-        target = self.num_bonds - self.num_atoms + len(self.connected_components())
-        if target <= 0:
-            return []
-        candidates: dict[frozenset, list[int]] = {}
-        for u, v in self.ring_bonds():
-            path = self._shortest_path_avoiding_edge(u, v)
-            if path is None:  # pragma: no cover - ring bonds always close
-                continue
-            edges = frozenset(
-                (min(a, b), max(a, b)) for a, b in zip(path, path[1:] + path[:1])
-            )
-            if edges not in candidates:
-                candidates[edges] = path
-        ordered = sorted(candidates.values(), key=len)
-        edge_index = {key: i for i, key in enumerate(self._bonds)}
-        pivots: dict[int, int] = {}
-        chosen: list[list[int]] = []
-        for cycle in ordered:
-            vec = 0
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                vec |= 1 << edge_index[(min(a, b), max(a, b))]
-            while vec:
-                high = vec.bit_length() - 1
-                if high not in pivots:
-                    pivots[high] = vec
-                    chosen.append(cycle)
-                    break
-                vec ^= pivots[high]
-            if len(chosen) == target:
-                break
-        return chosen
-
-    def _shortest_path_avoiding_edge(
-        self, u: int, v: int
-    ) -> list[int] | None:
-        """Shortest path from u to v not using the direct (u, v) bond."""
-        from collections import deque
-
-        prev: dict[int, int | None] = {u: None}
-        queue = deque([u])
-        while queue:
-            node = queue.popleft()
-            if node == v:
-                break
-            for nbr in self._adjacency[node]:
-                if {node, nbr} == {u, v}:
-                    continue
-                if nbr not in prev:
-                    prev[nbr] = node
-                    queue.append(nbr)
-        if v not in prev:
-            return None
-        path = [v]
-        while path[-1] != u:
-            path.append(prev[path[-1]])
-        return path
+        return graphs.rings(
+            self, self.ring_bonds(), len(self.connected_components())
+        )
 
     def ring_bonds(self) -> set[tuple[int, int]]:
-        """All bonds that participate in at least one ring.
-
-        An edge lies on a cycle if and only if it is not a bridge of its
-        connected component, so ring bonds = bonds minus bridges.
-        """
-        graph = self.to_networkx()
-        bridges = {(min(a, b), max(a, b)) for a, b in nx.bridges(graph)}
-        return {key for key in self._bonds if key not in bridges}
+        """All bonds that participate in at least one ring (non-bridges)."""
+        return graphs.ring_bonds(self)
 
     def atoms_in_rings(self) -> set[int]:
         return {atom for ring in self.rings() for atom in ring}

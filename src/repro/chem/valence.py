@@ -13,6 +13,10 @@ Two entry points:
   generative models for small molecule drug discovery") scores samples
   after exactly this kind of correction; Table II is reproduced the same
   way.
+
+Ring and fragment queries go through the :class:`Molecule` methods, which
+delegate to the exact, dependency-free routines in :mod:`repro.chem.graphs`
+(every decoded Table II sample is repaired, so these are on the hot path).
 """
 
 from __future__ import annotations

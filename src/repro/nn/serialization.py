@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import warnings
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +57,10 @@ def read_checkpoint_metadata(path: str | Path) -> dict:
 
     Reads only the metadata entry — the parameter arrays stay on disk, so
     a registry can decide how to rebuild the architecture before paying
-    for deserialization.
+    for deserialization.  An unreadable file raises ``ValueError`` naming
+    it.
     """
-    path = resolve_checkpoint_path(path)
-    with np.load(path) as archive:
-        if _META_KEY not in archive.files:
-            return {}
-        return json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
+    return _read_checkpoint(resolve_checkpoint_path(path), arrays=False)[1]
 
 
 def save_module(module: Module, path: str | Path, metadata: dict | None = None
@@ -89,19 +88,44 @@ def load_module(module: Module, path: str | Path) -> dict:
     """Restore parameters saved by :func:`save_module`; returns the metadata.
 
     The module must already have the same architecture (same parameter
-    names and shapes) — construct it first, then load.
+    names and shapes) — construct it first, then load.  A truncated or
+    corrupt checkpoint, or one whose parameter names or shapes do not fit
+    the module, raises ``ValueError`` naming the file.
     """
     path = resolve_checkpoint_path(path)
-    with np.load(path) as archive:
-        state = {name: archive[name] for name in archive.files
-                 if name != _META_KEY}
-        if _META_KEY in archive.files:
-            metadata = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
-        else:
-            metadata = {}
+    state, metadata = _read_checkpoint(path, arrays=True)
     _warn_dtype_mismatch(module, state, path)
-    module.load_state_dict(state)
+    try:
+        module.load_state_dict(state)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(
+            f"checkpoint {path} does not fit the module: {exc}"
+        ) from exc
     return metadata
+
+
+def _read_checkpoint(path: Path, arrays: bool) -> tuple[dict, dict]:
+    """``(parameter arrays, metadata)`` from a checkpoint archive.
+
+    Parameter arrays are read only when ``arrays`` is set.  A truncated or
+    corrupt archive, a file that is not a ``.npz`` archive, or metadata
+    that is not a JSON object raises ``ValueError`` naming ``path``.
+    """
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not a .npz archive")
+        with archive:
+            state = {name: archive[name] for name in archive.files
+                     if arrays and name != _META_KEY}
+            metadata = {}
+            if _META_KEY in archive.files:
+                metadata = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
+        if not isinstance(metadata, dict):
+            raise ValueError("metadata is not a JSON object")
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
+    return state, metadata
 
 
 def _warn_dtype_mismatch(module: Module, state: dict, path: Path) -> None:

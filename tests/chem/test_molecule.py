@@ -1,7 +1,14 @@
 """Tests for the molecular graph and periodic data."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.chem import AROMATIC, Molecule, element, from_smiles
 
@@ -156,6 +163,7 @@ class TestGraphQueries:
         assert sub.bond_order(0, 1) == 1.0
 
     def test_to_networkx_attrs(self):
+        pytest.importorskip("networkx")
         graph = ethanol().to_networkx()
         assert graph.nodes[2]["symbol"] == "O"
         assert graph.edges[0, 1]["order"] == 1.0
@@ -168,3 +176,14 @@ class TestGraphQueries:
 
     def test_from_smiles_equivalent(self):
         assert from_smiles("CCO") == ethanol()
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx is imported lazily, by Molecule.to_networkx only.
+    src = Path(repro.__file__).resolve().parents[1]
+    code = ("import sys, repro.chem, repro.training; "
+            "print('networkx' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Tests for npz checkpointing of modules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.nn import (
     module_fingerprint,
     save_module,
 )
+from repro.nn.serialization import read_checkpoint_metadata
 
 
 def model(seed=0):
@@ -133,6 +136,68 @@ class TestDtypeRoundTrip:
             source.reconstruct(x), target.reconstruct(x)
         )
         assert source.reconstruct(x).dtype == np.float32
+
+
+class TestUnreadableCheckpoint:
+    """Bad checkpoints fail at the load boundary with a ValueError naming them."""
+
+    def truncated(self, tmp_path):
+        path = save_module(model(), tmp_path / "m")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        return path
+
+    def not_a_zip(self, tmp_path):
+        path = tmp_path / "m.npz"
+        path.write_text("this is not a checkpoint\n")
+        return path
+
+    def bad_metadata(self, tmp_path):
+        path = tmp_path / "m.npz"
+        np.savez(path, w=np.zeros(3),
+                 __repro_meta__=np.frombuffer(b"{not json", dtype=np.uint8))
+        return path
+
+    def non_object_metadata(self, tmp_path):
+        path = tmp_path / "m.npz"
+        np.savez(path, __repro_meta__=np.frombuffer(b"[1, 2]", dtype=np.uint8))
+        return path
+
+    def plain_npy(self, tmp_path):
+        path = tmp_path / "m.npz"
+        with open(path, "wb") as handle:
+            np.save(handle, np.zeros(3))
+        return path
+
+    CASES = ["truncated", "not_a_zip", "bad_metadata", "non_object_metadata",
+             "plain_npy"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_load_module_names_file(self, tmp_path, case):
+        path = getattr(self, case)(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(f"unreadable checkpoint {path}")):
+            load_module(model(), path)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_read_metadata_names_file(self, tmp_path, case):
+        path = getattr(self, case)(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(f"unreadable checkpoint {path}")):
+            read_checkpoint_metadata(path)
+
+    @pytest.mark.parametrize("other", [
+        Sequential(Linear(4, 9, rng=np.random.default_rng(0))),  # shapes
+        Sequential(Linear(4, 8), ReLU(), Linear(8, 4), Linear(4, 4)),  # keys
+    ])
+    def test_mismatched_module_names_file(self, tmp_path, other):
+        path = save_module(model(), tmp_path / "m")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"checkpoint {path} does not fit")):
+            load_module(other, path)
+
+    def test_resolved_suffix_is_named(self, tmp_path):
+        path = self.not_a_zip(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(f"unreadable checkpoint {path}")):
+            load_module(model(), tmp_path / "m")
 
 
 class TestFingerprint:
