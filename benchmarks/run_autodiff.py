@@ -17,30 +17,19 @@ state, so the ratio is insensitive to the CPU-frequency drift that makes
 two separately-timed minima incomparable on shared runners — which
 matters here because the floors are parity (1.0x), not a wide multiple.
 
-A second family of pairs gates the tape *compiler*
-(:mod:`repro.nn.graph`): the same step timed with ``set_tape_compile``
-off (the reference tape walk) and on (the cached ``GraphPlan`` with fused
-elementwise runs, plan-owned cotangent/edge/temp buffers, and matmul
-``out=`` edges).  Those ratios land in ``speedup_compiled_vs_tape`` and
-carry real multiples in :data:`COMPILED_FLOORS` — the compiler exists to
-win, not to break even — on three workloads: a deep tanh MLP, a long
-elementwise chain, and a hybrid train step (patched quantum amplitude
-encoder feeding a deep classical decoder, the MolQAE-style shape).
-
 Alongside the paired workloads it records two absolute timings with no
 baseline pair: the full SQ-AE hybrid train step (the number that matters
 end to end; quantum statevector work dominates it, so it is tracked
-absolute rather than floored against the compiler) and a Hessian-vector
-product on an MLP (the higher-order capability the tape added; the
-closure design cannot run it at all).
+absolute rather than floored) and a Hessian-vector product on an MLP
+(the higher-order capability the tape added; the closure design cannot
+run it at all).
 
 Each payload is stamped with the git commit it was generated at plus the
 CPU count and BLAS vendor (floors are only meaningful on comparable
 machines), and ``--check`` turns the runner into a perf-regression gate:
 it fails (exit 1) when any measured tape-vs-closure speedup drops below
 its floor in :data:`SPEEDUP_FLOORS` (parity, 1.0x — the tape refactor's
-contract is "no classical-step overhead") or any compiled-vs-tape
-speedup drops below its floor in :data:`COMPILED_FLOORS`.
+contract is "no classical-step overhead").
 
 Usage::
 
@@ -82,18 +71,6 @@ SPEEDUP_FLOORS = {
     "bench_elementwise_chain_fwd_bwd": 1.0,
 }
 
-# Floors for the compiled-vs-tape pairs: unlike the parity floors above,
-# the plan compiler must deliver a real multiple over the walk it caches.
-# Set from measured medians (~1.39x / ~1.76x / ~1.40x on the reference
-# 1-core OpenBLAS runner) with margin for scheduler noise.  The hybrid
-# floor is the lowest: the quantum encoder's statevector passes run as
-# one opaque VJP node on both sides of the ratio and dilute the classical
-# win the compiler is responsible for.
-COMPILED_FLOORS = {
-    "bench_compiled_mlp_fwd_bwd": 1.3,
-    "bench_compiled_elementwise_chain": 1.3,
-    "bench_compiled_hybrid_train_step": 1.15,
-}
 
 
 def git_commit() -> str | None:
@@ -248,168 +225,6 @@ PAIRED_BENCHES = {
 
 
 # ----------------------------------------------------------------------
-# Compiled-vs-tape workloads: one tape step timed with the plan compiler
-# off (reference walk) and on, interleaved.  Shapes are chosen where the
-# compiler's levers actually engage — wide tanh activations (fused runs +
-# staged kernel temps), narrow/wide matmul edges (``out=`` GEMM into
-# plan-owned buffers) — because bit-identity forbids the compiler from
-# changing the math, so all of its win is allocation and dispatch.
-# ----------------------------------------------------------------------
-
-_CMLP_DIMS = (8, 512, 8, 512, 8, 512, 8)  # tanh hourglass
-_CMLP_BATCH = 384
-_CCHAIN_SHAPE = (256, 256)
-_CCHAIN_DEPTH = 20
-
-
-def _compiled_mlp_step():
-    rng = np.random.default_rng(5)
-    from repro.nn.tensor import Tensor
-
-    ws = [
-        Tensor(rng.normal(size=(a, b)) * 0.3, requires_grad=True)
-        for a, b in zip(_CMLP_DIMS[:-1], _CMLP_DIMS[1:])
-    ]
-    bs = [
-        Tensor(np.zeros(b), requires_grad=True) for b in _CMLP_DIMS[1:]
-    ]
-    params = ws + bs
-    x = Tensor(rng.normal(size=(_CMLP_BATCH, _CMLP_DIMS[0])))
-    scale = 1.0 / _CMLP_BATCH
-
-    def step():
-        h = x
-        for i, (w, b) in enumerate(zip(ws, bs)):
-            h = h @ w + b
-            if i < len(ws) - 1:
-                h = h.tanh()
-        loss = (h * h).sum() * scale
-        loss.backward()
-        grad = ws[0].grad
-        for p in params:
-            p.grad = None
-        return grad
-
-    return step
-
-
-def _compiled_chain_step():
-    rng = np.random.default_rng(6)
-    from repro.nn.tensor import Tensor
-
-    t0 = Tensor(rng.normal(size=_CCHAIN_SHAPE), requires_grad=True)
-
-    def step():
-        t = t0
-        for _ in range(_CCHAIN_DEPTH):
-            t = (t * 0.98).tanh()
-        t.sum().backward()
-        grad = t0.grad
-        t0.grad = None
-        return grad
-
-    return step
-
-
-def _compiled_hybrid_step():
-    """Hybrid train step shaped like MolQAE-style training: a patched
-    quantum amplitude encoder (small statevectors) feeding a deep
-    classical tanh decoder, MSE + SGD.  The quantum forward/adjoint is an
-    opaque VJP node on both sides; the compiler's win comes from the
-    classical decoder's backward."""
-    from repro.nn import SGD, Linear, Sequential, Tanh
-    from repro.nn.functional import mse_loss
-    from repro.nn.modules import Module
-    from repro.nn.tensor import Tensor
-    from repro.qnn.circuits import amplitude_encoder_circuit
-    from repro.qnn.patched import PatchedQuantumLayer, patch_qubits
-
-    rng = np.random.default_rng(7)
-    input_dim, n_patches, n_layers, batch, hidden = 16, 2, 1, 384, 512
-    qubits = patch_qubits(input_dim, n_patches)
-    latent = n_patches * qubits
-
-    class HybridNet(Module):
-        def __init__(self):
-            super().__init__()
-            self.encoder = PatchedQuantumLayer(
-                lambda i: amplitude_encoder_circuit(
-                    qubits, input_dim // n_patches, n_layers,
-                    zero_fallback=True,
-                ),
-                n_patches=n_patches,
-                rng=rng,
-            )
-            self.decoder = Sequential(
-                Linear(latent, hidden, rng=rng), Tanh(),
-                Linear(hidden, 8, rng=rng), Tanh(),
-                Linear(8, hidden, rng=rng), Tanh(),
-                Linear(hidden, input_dim, rng=rng),
-            )
-
-        def forward(self, x):
-            return self.decoder(self.encoder(x))
-
-    model = HybridNet()
-    optimizer = SGD(model.parameters(), lr=0.001)
-    x = Tensor(rng.normal(size=(batch, input_dim)))
-
-    def step():
-        optimizer.zero_grad(set_to_none=True)
-        loss = mse_loss(model(x), x)
-        loss.backward()
-        optimizer.step()
-        return loss.data
-
-    return step
-
-
-COMPILED_BENCHES = {
-    "bench_compiled_mlp_fwd_bwd": _compiled_mlp_step,
-    "bench_compiled_elementwise_chain": _compiled_chain_step,
-    "bench_compiled_hybrid_train_step": _compiled_hybrid_step,
-}
-
-
-def run_compiled_pair(builder, rounds: int):
-    """Time one workload interleaved with the plan compiler off then on.
-
-    Returns ``(tape_stats, compiled_stats, median_ratio)`` where the
-    ratio is tape-time / compiled-time per round.  Same drift-insensitive
-    shape as :func:`run_pair`; the global compile toggle is restored on
-    exit so the runner never leaks state into later benchmarks.
-    """
-    from repro.nn import graph
-
-    step = builder()
-    was_enabled = graph.tape_compile_enabled()
-    try:
-        graph.set_tape_compile(True)
-        step()  # warmup both sides (also populates the plan cache)
-        graph.set_tape_compile(False)
-        step()
-        tape_times, compiled_times, ratios = [], [], []
-        for _ in range(rounds):
-            graph.set_tape_compile(False)
-            t0 = time.perf_counter()
-            step()
-            t1 = time.perf_counter()
-            graph.set_tape_compile(True)
-            step()
-            t2 = time.perf_counter()
-            tape_times.append(t1 - t0)
-            compiled_times.append(t2 - t1)
-            ratios.append((t1 - t0) / (t2 - t1))
-    finally:
-        graph.set_tape_compile(was_enabled)
-    return (
-        _stats(tape_times),
-        _stats(compiled_times),
-        statistics.median(ratios),
-    )
-
-
-# ----------------------------------------------------------------------
 # Absolute timings (no closure pair): the end-to-end hybrid train step the
 # refactor must not tax, and the higher-order capability it added.
 # ----------------------------------------------------------------------
@@ -495,7 +310,6 @@ def main(argv=None) -> int:
 
     results: dict[str, dict] = {}
     measured: dict[str, float] = {}
-    measured_compiled: dict[str, float] = {}
     ran = 0
     for name, builder in sorted(PAIRED_BENCHES.items()):
         if args.only and args.only not in name:
@@ -507,20 +321,6 @@ def main(argv=None) -> int:
         ran += 1
         print(f"{name:44s} min {tape_stats['min_s'] * 1e3:10.3f} ms  "
               f"vs closure {closure_stats['min_s'] * 1e3:10.3f} ms  "
-              f"median ratio {ratio:6.3f}x", file=sys.stderr)
-
-    for name, builder in sorted(COMPILED_BENCHES.items()):
-        if args.only and args.only not in name:
-            continue
-        tape_stats, compiled_stats, ratio = run_compiled_pair(
-            builder, args.rounds
-        )
-        results[name] = compiled_stats
-        results[name + "_tape"] = tape_stats
-        measured_compiled[name] = round(ratio, 3)
-        ran += 1
-        print(f"{name:44s} min {compiled_stats['min_s'] * 1e3:10.3f} ms  "
-              f"vs tape    {tape_stats['min_s'] * 1e3:10.3f} ms  "
               f"median ratio {ratio:6.3f}x", file=sys.stderr)
 
     for name, fn in discover(args.only):
@@ -543,30 +343,23 @@ def main(argv=None) -> int:
         "rounds": args.rounds,
         "benchmarks": results,
         "speedup_tape_vs_closure": measured,
-        "speedup_compiled_vs_tape": measured_compiled,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}", file=sys.stderr)
 
     if args.check:
-        gates = (
-            ("tape-vs-closure", SPEEDUP_FLOORS, measured),
-            ("compiled-vs-tape", COMPILED_FLOORS, measured_compiled),
-        )
         checked = 0
         failures = []
-        for label, floors, got_map in gates:
-            for name in sorted(set(floors) - set(got_map)):
+        for name, floor in sorted(SPEEDUP_FLOORS.items()):
+            if name not in measured:
                 print(f"warning: floored benchmark {name} was not measured "
                       f"(filtered by --only?)", file=sys.stderr)
-            for name, floor in sorted(floors.items()):
-                if name not in got_map:
-                    continue
-                checked += 1
-                if got_map[name] < floor:
-                    failures.append((label, name, got_map[name], floor))
-        for label, name, got, floor in failures:
-            print(f"REGRESSION {name}: {label} speedup {got:.2f}x "
+                continue
+            checked += 1
+            if measured[name] < floor:
+                failures.append((name, measured[name], floor))
+        for name, got, floor in failures:
+            print(f"REGRESSION {name}: tape-vs-closure speedup {got:.2f}x "
                   f"below floor {floor:.2f}x", file=sys.stderr)
         if failures:
             return 1

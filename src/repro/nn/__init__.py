@@ -8,7 +8,6 @@ Public surface::
 
 from . import autodiff
 from . import functional
-from . import graph
 from . import init
 from .autodiff import enable_grad, grad, hvp
 from .flat import (
@@ -17,14 +16,6 @@ from .flat import (
     gradient_layout,
     parameter_layout,
     unique_named_parameters,
-)
-from .graph import (
-    GraphPlan,
-    clear_plan_cache,
-    plan_cache_stats,
-    set_tape_compile,
-    tape_compile,
-    tape_compile_enabled,
 )
 from .modules import (
     Identity,
@@ -61,13 +52,6 @@ __all__ = [
     "autodiff",
     "grad",
     "hvp",
-    "graph",
-    "GraphPlan",
-    "tape_compile",
-    "tape_compile_enabled",
-    "set_tape_compile",
-    "plan_cache_stats",
-    "clear_plan_cache",
     "Module",
     "Parameter",
     "Linear",

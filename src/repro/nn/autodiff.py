@@ -16,18 +16,12 @@ pieces:
   quantum (:func:`backward_pass` for ``Tensor.backward``'s ``.grad``
   semantics, :func:`grad` for the functional interface).
 
-On top of the walk sits a *compile layer* (:mod:`repro.nn.graph`): since
-training steps re-record structurally identical tapes, both
-:func:`backward_pass` and the fast path of :func:`grad` consult a plan
-cache keyed on the tape's structural signature.  Step 1 lowers the tape
-into a flat backward program (flattened VJP dispatch, fused elementwise
-chains, reusable cotangent buffers); steps 2+ run the cached program.
-The walks in this module remain the *reference semantics* — the compiled
-program is bit-identical to them by construction and by differential
-test, and ``REPRO_TAPE_COMPILE=0`` (or ``tape_compile(False)``) routes
-everything back through them.  The ``create_graph`` walks never compile:
-they re-record VJPs onto a fresh tape, so each run is structurally new
-work by design.
+The walk is interpreted on every call and is the only first-order
+backward; classical tapes are neither cached nor compiled.  On the paper
+models the classical backward is a few percent of a training step —
+nearly all of it is quantum circuit work, whose execution plans
+:mod:`repro.quantum.engine` caches — so the walk is not where step time
+goes.
 
 VJPs are *dual-mode*: the registry functions receive raw numpy arrays
 during an ordinary first-order backward (no wrapper overhead on the hot
@@ -46,8 +40,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from . import graph as _graph
 
 __all__ = [
     "Primitive",
@@ -258,12 +250,6 @@ def backward_pass(root, seed: np.ndarray, retain_graph: bool = False) -> None:
     its node's VJPs have consumed it, so only leaves carry a ``.grad``
     after the walk and peak memory is bounded by the graph *frontier*, not
     the whole tape.
-
-    When tape compilation is enabled (the default — see
-    :mod:`repro.nn.graph`), the walk body is replaced by a cached
-    :class:`~repro.nn.graph.GraphPlan` lowered from the tape's structure;
-    the interpreted loop below stays as the reference implementation the
-    plan is bit-identical to.
     """
     if root._node is None:
         # Leaf root: no graph to walk, the seed is the gradient.
@@ -275,33 +261,29 @@ def backward_pass(root, seed: np.ndarray, retain_graph: bool = False) -> None:
     for t in order:
         if t._node is not None:
             t.grad = None
-    if _graph.tape_compile_enabled():
-        _graph.plan_for_backward(order).run_backward(order, seed)
-    else:
-        root._accumulate(seed)
-        for t in reversed(order):
-            node = t._node
-            if node is None or t.grad is None:
-                continue
-            g = t.grad
-            # Release on consume: this node's cotangent is dead once its
-            # VJPs have read ``g``.
-            t.grad = None
-            prim = node.prim
-            if prim.vjp_all is not None:
-                argnums = tuple(a for a, __ in node.parents)
-                grads = prim.vjp_all(g, t.data, node.vals, node.params,
-                                     argnums)
-                for (__, parent), pg in zip(node.parents, grads):
-                    if pg is not None and parent.requires_grad:
-                        parent._accumulate(pg)
-            else:
-                vjps = prim.vjps
-                for argnum, parent in node.parents:
-                    if parent.requires_grad:
-                        parent._accumulate(
-                            vjps[argnum](g, t.data, node.vals, node.params)
-                        )
+    root._accumulate(seed)
+    for t in reversed(order):
+        node = t._node
+        if node is None or t.grad is None:
+            continue
+        g = t.grad
+        # Release on consume: this node's cotangent is dead once its
+        # VJPs have read ``g``.
+        t.grad = None
+        prim = node.prim
+        if prim.vjp_all is not None:
+            argnums = tuple(a for a, __ in node.parents)
+            grads = prim.vjp_all(g, t.data, node.vals, node.params, argnums)
+            for (__, parent), pg in zip(node.parents, grads):
+                if pg is not None and parent.requires_grad:
+                    parent._accumulate(pg)
+        else:
+            vjps = prim.vjps
+            for argnum, parent in node.parents:
+                if parent.requires_grad:
+                    parent._accumulate(
+                        vjps[argnum](g, t.data, node.vals, node.params)
+                    )
     if not retain_graph:
         for t in order:
             t._node = None
@@ -413,8 +395,6 @@ def grad(
     tensor_cls = _tensor_cls()
     if create_graph:
         cot = _cotangent_walk(output, tensor_cls(seed), order, True)
-    elif _graph.tape_compile_enabled() and output._node is not None:
-        cot = _graph.plan_for_grad(order, targets).run_grad(order, seed)
     else:
         cot = _cotangent_walk(output, seed, order, False)
     if not retain:

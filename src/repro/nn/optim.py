@@ -43,9 +43,8 @@ class Optimizer:
         """Reset every parameter gradient (torch-parity signature).
 
         ``set_to_none=True`` (the default) drops the buffers entirely —
-        the next backward allocates or adopts fresh ones, which pairs
-        with the compiled tape's buffer reuse and skips a redundant
-        fill.  ``set_to_none=False`` keeps each existing buffer and
+        the next backward allocates fresh ones, which skips a redundant
+        fill and add.  ``set_to_none=False`` keeps each existing buffer and
         zeroes it in place, for callers that hold references to
         ``param.grad`` across steps.
         """

@@ -26,17 +26,11 @@ Design notes
   every VJP is re-recorded through these same primitives).  That is what
   makes grad-of-grad — :func:`repro.nn.autodiff.hvp` — fall out of the
   design instead of needing a second implementation.
-* **Compiled backward plans.**  A recorded tape is pure structure —
-  primitive sequence, shapes, dtypes, wiring — so :mod:`repro.nn.graph`
-  lowers it once into a reusable backward program (flattened VJP
-  dispatch, fused single-consumer elementwise chains, preallocated
-  cotangent buffers) cached on a structural signature, exactly like the
-  quantum engine caches circuit plans.  ``Tensor.backward`` and the fast
-  path of :func:`repro.nn.autodiff.grad` consult that cache
-  automatically; training loops therefore lower on step 1 and run the
-  cached program from step 2 on.  The compiled program is bit-identical
-  to the interpreted walk; ``REPRO_TAPE_COMPILE=0`` (or
-  ``repro.nn.tape_compile(False)``) disables it.
+* **One interpreted walk.**  Every first-order backward — ``Tensor.backward``
+  and the fast path of :func:`repro.nn.autodiff.grad` — runs the same
+  topological walk over the recorded tape; nothing is lowered or cached
+  per tape structure.  On the paper models the classical backward is a
+  few percent of a training step, so the walk is not where the time goes.
 * Gradients follow numpy broadcasting: every op's VJP sums the upstream
   gradient back down to the operand's shape via :func:`_unbroadcast` (or
   its dual-mode twin ``_unb_any``).

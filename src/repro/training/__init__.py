@@ -3,7 +3,12 @@
 from .history import EpochRecord, History
 from .losses import LossTerms, autoencoder_loss
 from .parallel import ParallelTrainStep, ShardedTrainStep
-from .strategies import SequentialTrainStep, TrainStep, clip_grad_norm
+from .strategies import (
+    NonFiniteLossError,
+    SequentialTrainStep,
+    TrainStep,
+    clip_grad_norm,
+)
 from .trainer import (
     PAPER_CLASSICAL_LR,
     PAPER_QUANTUM_LR,
@@ -23,6 +28,7 @@ __all__ = [
     "SequentialTrainStep",
     "ShardedTrainStep",
     "ParallelTrainStep",
+    "NonFiniteLossError",
     "clip_grad_norm",
     "evaluate_reconstruction",
     "PAPER_QUANTUM_LR",

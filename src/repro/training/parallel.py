@@ -188,7 +188,7 @@ class ShardedTrainStep(TrainStep):
             shard_terms.append((terms.total, terms.reconstruction, terms.kl))
         reduce_gradients(self.model, shard_grads, weights)
         terms = reduce_loss_terms(shard_terms, weights)
-        self.apply_update()
+        self.apply_update(terms)
         return terms
 
 
@@ -460,7 +460,7 @@ class ParallelTrainStep(TrainStep):
             shard_terms.append(terms)
         reduce_gradients(self.model, shard_grads, weights)
         terms = reduce_loss_terms(shard_terms, weights)
-        self.apply_update()
+        self.apply_update(terms)
         return terms
 
     def _collect(self, expected: int, step_id: int) -> dict:

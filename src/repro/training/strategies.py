@@ -15,7 +15,8 @@ itself.  The contract:
   clipping, ``optimizer.step()`` — and returns the batch's
   :class:`~repro.training.losses.LossTerms`.  The trainer's model holds
   the post-update parameters when it returns, whatever machinery computed
-  the gradients.
+  the gradients.  A non-finite batch loss raises
+  :class:`NonFiniteLossError` instead, with no update applied.
 * ``close()`` releases whatever ``setup`` acquired; the trainer calls it
   on every exit path (including a ``step`` raising mid-epoch), and it
   must be idempotent.
@@ -27,12 +28,23 @@ in :mod:`repro.training.parallel`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..nn.tensor import Tensor
 from .losses import LossTerms, autoencoder_loss
 
-__all__ = ["TrainStep", "SequentialTrainStep", "clip_grad_norm"]
+__all__ = [
+    "TrainStep",
+    "SequentialTrainStep",
+    "NonFiniteLossError",
+    "clip_grad_norm",
+]
+
+
+class NonFiniteLossError(ValueError):
+    """A training step's loss was NaN or infinite; no update was applied."""
 
 
 def clip_grad_norm(parameters, max_norm: float) -> float:
@@ -87,13 +99,24 @@ class TrainStep:
         """Release per-fit resources; idempotent, called on every exit."""
 
     # -- shared update tail ---------------------------------------------
-    def apply_update(self) -> None:
+    def apply_update(self, terms: LossTerms) -> None:
         """Clip (when configured) and step the optimizer on current grads.
 
         Every strategy funnels through this once its gradients are in the
-        master model's ``param.grad`` buffers, so clipping and the
-        optimizer see identical arithmetic whatever computed them.
+        master model's ``param.grad`` buffers and ``terms`` holds the
+        batch's (reduced) loss, so clipping and the optimizer see
+        identical arithmetic whatever computed them.
+
+        A non-finite loss raises :class:`NonFiniteLossError` before
+        clipping or ``optimizer.step``: one NaN row would otherwise make
+        every gradient, and after the step every parameter and optimizer
+        moment, non-finite.
         """
+        if not math.isfinite(terms.total):
+            raise NonFiniteLossError(
+                f"non-finite training loss ({terms}); parameters and "
+                "optimizer state left at their pre-step values"
+            )
         if self.config.max_grad_norm is not None:
             clip_grad_norm(self.model.parameters(), self.config.max_grad_norm)
         self.optimizer.step()
@@ -107,17 +130,15 @@ class SequentialTrainStep(TrainStep):
     def step(self, indices: np.ndarray) -> LossTerms:
         real = self.precision.real
         batch = self.features[indices]
-        # set_to_none pairs with the compiled tape (repro.nn.graph):
-        # full-size batches re-record structurally identical tapes, so
-        # every backward after the first runs one cached GraphPlan with
-        # reused cotangent buffers, and dropping .grad lets leaves adopt
-        # the plan's fresh outputs instead of accumulating into stale
-        # zeroed buffers.
+        # set_to_none: the backward below then takes each leaf .grad as a
+        # fresh copy of its first contribution instead of adding it into
+        # a zero-filled buffer, which skips a fill and an add per
+        # parameter.
         self.optimizer.zero_grad(set_to_none=True)
         output = self.model(Tensor(batch, dtype=real))
         loss, terms = autoencoder_loss(
             output, Tensor(batch, dtype=real), beta=self.config.beta
         )
         loss.backward()
-        self.apply_update()
+        self.apply_update(terms)
         return terms

@@ -30,7 +30,12 @@ from ..nn.schedulers import LRScheduler
 from ..nn.tensor import Tensor, no_grad
 from ..quantum.backends import resolve_backend, use_backend
 from .history import EpochRecord, History
-from .strategies import SequentialTrainStep, TrainStep, clip_grad_norm
+from .strategies import (
+    NonFiniteLossError,
+    SequentialTrainStep,
+    TrainStep,
+    clip_grad_norm,
+)
 
 __all__ = ["TrainConfig", "Trainer", "evaluate_reconstruction",
            "clip_grad_norm"]
@@ -178,7 +183,12 @@ class Trainer:
                 n_batches = 0
                 self.model.train()
                 for indices in loader.iter_index_batches():
-                    terms = self.strategy.step(indices)
+                    try:
+                        terms = self.strategy.step(indices)
+                    except NonFiniteLossError as exc:
+                        raise NonFiniteLossError(
+                            f"epoch {epoch}, batch {n_batches + 1}: {exc}"
+                        ) from None
                     epoch_total += terms.total
                     epoch_recon += terms.reconstruction
                     epoch_kl += terms.kl

@@ -3,16 +3,20 @@
 The first-order semantics of :meth:`Tensor.backward` are covered by
 ``test_tensor.py`` (unchanged across the tape refactor — that is the
 point).  This file covers what the tape adds: ``no_grad``/``enable_grad``
-as decorators, Tensor exponents, repeated/retained backward walks, the
-functional :func:`repro.nn.grad` interface, and grad-of-grad against
-analytic second derivatives and finite differences of first gradients.
+as decorators, Tensor exponents, repeated/retained backward walks and
+their buffer ownership, optimizer ``zero_grad`` modes, the functional
+:func:`repro.nn.grad` interface (``==`` ``.backward()`` on a hybrid
+quantum train step), and grad-of-grad against analytic second
+derivatives and finite differences of first gradients.
 """
 
 import numpy as np
 import pytest
 
 from repro.nn import Tensor, enable_grad, grad, hvp, is_grad_enabled, no_grad
+from repro.nn.functional import mse_loss
 from repro.nn.modules import Linear, Sequential, Tanh
+from repro.nn.optim import SGD
 
 
 def numeric_grad(fn, x0, eps=1e-6):
@@ -156,6 +160,54 @@ class TestRepeatedBackward:
         y.backward()  # graph gone: only the root's own grad is seeded
         assert x.grad is None
 
+    def test_seed_array_is_not_mutated(self):
+        seed = np.full((3,), 2.0)
+        keep = seed.copy()
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = (x * x).tanh()
+        y.backward(seed)
+        assert np.array_equal(seed, keep)
+
+    def test_leaf_grads_never_share_storage_across_runs(self):
+        def run():
+            x = Tensor(np.arange(4.0), requires_grad=True)
+            w = Tensor(np.ones(4), requires_grad=True)
+            # Two contributions into w exercise the accumulation path.
+            ((x * w).tanh() + w * 0.5).sum().backward()
+            return x.grad, w.grad
+
+        g1 = run()
+        g2 = run()
+        for a, b in zip(g1, g2):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, b)
+        g1[0][...] = -1.0  # mutating run 1's grads must not corrupt run 2's
+        assert not np.array_equal(g1[0], g2[0])
+
+
+class TestZeroGradSetToNone:
+    def _params(self):
+        p = Tensor(np.arange(3.0), requires_grad=True)
+        (p * p).sum().backward()
+        return p
+
+    def test_default_sets_none(self):
+        p = self._params()
+        SGD([p], lr=0.1).zero_grad()
+        assert p.grad is None
+
+    def test_set_to_none_false_zeroes_in_place(self):
+        p = self._params()
+        buf = p.grad
+        SGD([p], lr=0.1).zero_grad(set_to_none=False)
+        assert p.grad is buf
+        assert np.array_equal(buf, np.zeros(3))
+
+    def test_set_to_none_false_with_no_grad_is_noop(self):
+        p = Tensor(np.arange(3.0), requires_grad=True)
+        SGD([p], lr=0.1).zero_grad(set_to_none=False)
+        assert p.grad is None
+
 
 class TestFunctionalGrad:
     def test_grad_matches_backward(self):
@@ -199,6 +251,25 @@ class TestFunctionalGrad:
         x = Tensor([5.0], requires_grad=True)
         (g,) = grad(x.sum(), [x])
         np.testing.assert_allclose(g.data, [1.0])
+
+    def test_grad_equals_backward_on_scalable_qae_train_step(self):
+        """Hybrid tape (patched quantum primitive + classical ops): the
+        functional walk and ``.backward()`` agree bit for bit."""
+        from repro.models import ScalableQuantumAE
+
+        model = ScalableQuantumAE(
+            input_dim=16, n_patches=2, n_layers=1,
+            rng=np.random.default_rng(7),
+        )
+        x = Tensor(np.random.default_rng(0).normal(size=(3, 16)),
+                   requires_grad=True)
+        loss = mse_loss(model(x).reconstruction, x)
+        leaves = list(model.parameters()) + [x]
+        grads = grad(loss, leaves, retain_graph=True)
+        loss.backward()
+        for leaf, g in zip(leaves, grads):
+            assert g.dtype == leaf.grad.dtype
+            assert np.array_equal(g.data, leaf.grad)
 
 
 class TestHigherOrder:

@@ -8,6 +8,7 @@ from repro.models import ClassicalAE, build_model
 from repro.nn import Parameter
 from repro.nn.schedulers import StepLR
 from repro.training import (
+    NonFiniteLossError,
     SequentialTrainStep,
     ShardedTrainStep,
     TrainConfig,
@@ -129,6 +130,45 @@ class TestStrategyParity:
         history, _, _ = self._run(SequentialTrainStep())
         assert all(r.seconds is not None and r.seconds > 0
                    for r in history.epochs)
+
+
+class TestNonFiniteLoss:
+    """One NaN row must stop the fit at its batch, before any update."""
+
+    @staticmethod
+    def _snapshotting(strategy_cls, *args):
+        class Snapshot(strategy_cls):
+            def step(self, indices):
+                self.before = {
+                    name: p.data.copy()
+                    for name, p in self.model.named_parameters()
+                }
+                self.adam_steps = dict(self.optimizer._t)
+                return super().step(indices)
+
+        return Snapshot(*args)
+
+    @pytest.mark.parametrize(
+        "strategy_cls, args",
+        [(SequentialTrainStep, ()), (ShardedTrainStep, (2,))],
+        ids=["sequential", "sharded"],
+    )
+    def test_nan_row_raises_naming_epoch_and_batch(self, strategy_cls, args):
+        data = toy_data(n=32)
+        data.features[19, 5] = np.nan  # rows 16..23 form batch 3
+        strategy = self._snapshotting(strategy_cls, *args)
+        model = make_model()
+        config = TrainConfig(epochs=2, batch_size=8, shuffle=False,
+                             max_grad_norm=1.0)
+        trainer = Trainer(model, config, strategy=strategy)
+        with pytest.raises(NonFiniteLossError, match=r"epoch 1, batch 3: "
+                           r"non-finite training loss") as info:
+            trainer.fit(data)
+        assert isinstance(info.value, ValueError)
+        for name, param in model.named_parameters():
+            assert np.isfinite(param.data).all(), name
+            assert np.array_equal(param.data, strategy.before[name]), name
+        assert trainer.optimizer._t == strategy.adam_steps
 
 
 class TestClipGradNormEdgeCases:
