@@ -232,13 +232,13 @@ def _validate_and_prepare(
     prec: Precision,
     backend: KernelBackend | None = None,
 ):
-    """Shared entry checks; returns (inputs, weights, batch, state, embedding).
+    """Shared entry checks; returns (inputs, weights, batch, embedding).
 
     ``embedding`` is ``(embedded, norms, zero_rows)`` for amplitude-prepared
-    circuits and ``(None, None, None)`` otherwise; ``state`` is a fresh array
-    the caller may mutate (for amplitude prep it *is* ``embedded``, so cache
-    holders must copy before mutating).  Inputs and weights are cast to the
-    policy's real dtype, the state to its complex counterpart.
+    circuits and ``(None, None, None)`` otherwise — the compiled plan of a
+    circuit without amplitude prep builds its own initial state (its
+    product-state prep).  Inputs and weights are cast to the policy's real
+    dtype, the embedded state to its complex counterpart.
     """
     if circuit.measurement is None:
         raise ValueError("circuit has no measurement; call measure_* first")
@@ -260,17 +260,13 @@ def _validate_and_prepare(
             raise ValueError("circuit consumes inputs but none were given")
         batch = 1
 
-    if circuit.state_prep is not None:
-        __, n_features, zero_fallback = circuit.state_prep
-        state, norms, zero_rows = _prepare_amplitude(
-            inputs[:, :n_features], circuit.n_wires, zero_fallback, prec,
-            backend,
-        )
-        embedding = (state, norms, zero_rows)
-    else:
-        state = zero_state(circuit.n_wires, batch, dtype=prec.complex)
-        embedding = (None, None, None)
-    return inputs, weights, batch, state, embedding
+    if circuit.state_prep is None:
+        return inputs, weights, batch, (None, None, None)
+    __, n_features, zero_fallback = circuit.state_prep
+    embedding = _prepare_amplitude(
+        inputs[:, :n_features], circuit.n_wires, zero_fallback, prec, backend,
+    )
+    return inputs, weights, batch, embedding
 
 
 def _measure(
@@ -332,7 +328,7 @@ def execute(
     """
     prec = resolve_precision(dtype)
     backend = resolve_backend(backend)
-    inputs, weights, batch, state, embedding = _validate_and_prepare(
+    inputs, weights, batch, embedding = _validate_and_prepare(
         circuit, inputs, weights, prec, backend
     )
     embedded, norms, zero_rows = embedding
@@ -340,8 +336,9 @@ def execute(
     bound = plan.bind(inputs, weights, with_grads=want_cache, cdtype=prec.complex)
     # Plan instructions are pure, so the embedded state survives the run
     # untouched and post-block states can be checkpointed by reference.
+    # Without amplitude prep the plan's head instruction builds the state.
     record: list | None = [] if want_cache else None
-    state = plan.run(state, bound, record=record, backend=backend)
+    state = plan.run(embedded, bound, batch, record=record, backend=backend)
     outputs = _measure(circuit, state, backend)
     if not want_cache:
         return outputs, None
@@ -436,16 +433,13 @@ def execute_stacked(
         batch = 1
         flat_inputs = None
 
+    embedded = norms = zero_rows = None  # the plan's prep builds the state
     if circuit.state_prep is not None:
         __, n_features, zero_fallback = circuit.state_prep
-        state, norms, zero_rows = _prepare_amplitude(
+        embedded, norms, zero_rows = _prepare_amplitude(
             flat_inputs[:, :n_features], circuit.n_wires, zero_fallback, prec,
             backend,
         )
-        embedded = state
-    else:
-        state = zero_state(circuit.n_wires, p * batch, dtype=prec.complex)
-        embedded = norms = zero_rows = None
 
     plan = stacked_plan(circuit)
     bound = plan.bind(
@@ -454,7 +448,7 @@ def execute_stacked(
     # Stacked applies are pure, so the embedded state survives the run
     # untouched and post-block states can be checkpointed by reference.
     record: list | None = [] if want_cache else None
-    state = plan.run(state, bound, p, batch, record=record, backend=backend)
+    state = plan.run(embedded, bound, p, batch, record=record, backend=backend)
     outputs = _measure(circuit, state, backend).reshape(p, batch, -1)
     if not want_cache:
         return outputs, None
@@ -551,10 +545,15 @@ def naive_execute(
     semantics as :func:`execute`.
     """
     prec = resolve_precision(dtype)
-    inputs, weights, batch, state, embedding = _validate_and_prepare(
+    inputs, weights, batch, embedding = _validate_and_prepare(
         circuit, inputs, weights, prec
     )
     embedded, norms, zero_rows = embedding
+    state = (
+        zero_state(circuit.n_wires, batch, dtype=prec.complex)
+        if embedded is None
+        else embedded
+    )
     matrices: list[np.ndarray] = []
     for op in circuit.ops:
         gate = _gate_matrix(op, inputs, weights, prec.complex)

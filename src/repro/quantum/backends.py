@@ -40,6 +40,7 @@ The kernel vocabulary (one method per engine kernel):
 ``gather``             basis-index gather (composed CNOT rings, X, SWAP)
 ``probabilities``      |amplitude|^2 over the state rows
 ``expvals``            probability-weighted Pauli-Z sign contraction
+                       (row-invariant: no BLAS kernel choice by row count)
 ``row_norms``          per-row L2 norms (amplitude embedding)
 =====================  ====================================================
 
@@ -160,7 +161,8 @@ class KernelBackend:
 
     def expvals(self, state, signs):
         """Pauli-Z expectations: ``probabilities(state) @ signs.T`` for a
-        ``(n_measured, dim)`` sign table."""
+        ``(n_measured, dim)`` sign table, each row summed in an order that
+        does not depend on how many rows share the call."""
         raise NotImplementedError
 
     def row_norms(self, rows):
@@ -331,7 +333,11 @@ class NumpyBackend(KernelBackend):
         return state.real**2 + state.imag**2
 
     def expvals(self, state, signs):
-        return self.probabilities(state) @ signs.T
+        # Not ``probabilities @ signs.T``: BLAS picks its GEMM kernel by
+        # row count (the dgemm here switches between 144 and 160 rows), so
+        # a row's expectations would depend on how many rows share the
+        # call.  The einsum loop sums each row in one fixed order.
+        return np.einsum("rj,wj->rw", self.probabilities(state), signs)
 
     def row_norms(self, rows):
         return np.linalg.norm(rows, axis=1)

@@ -50,6 +50,15 @@ The substrate gives both views the same machinery:
 * **Bulk binding.**  Weight-only fused runs sharing a gate signature bind
   through one vectorized gate construction and one batched-matmul sweep
   per signature (:class:`_SStaticGroup`).
+* **Product-state prep.**  On |0...0> (no amplitude embedding) each wire's
+  leading single-qubit run — everything before the first multi-wire op on
+  that wire, e.g. an angle embedding plus the first SEL ``Rot`` — only
+  builds a product state.  All of them lower into one head
+  :class:`_SProductPrep`: bind computes one 2-vector per wire, apply
+  takes a tree Kronecker product of them into the state (no zero state,
+  no per-row dense passes), and the adjoint contracts the cotangent down
+  to one 2-vector per wire (no checkpoint).  Amplitude-embedded circuits
+  and input runs later in the circuit stay :class:`_SDense` blocks.
 
 :func:`repro.quantum.autodiff.execute` / ``backward`` drive the ``p = 1``
 view; ``execute_stacked`` / ``backward_stacked`` drive the multi-bind view.
@@ -123,6 +132,47 @@ def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
+# ---------------------------------------------------------------------------
+# One-qubit vector kernels (the product-state prep)
+# ---------------------------------------------------------------------------
+#
+# The prep holds one 2-vector per wire, ``(k, 2)`` with ``k`` in {1, p,
+# p * batch}: constant, per-patch or per-row.  Every kernel here is plain
+# elementwise arithmetic, so a row's result never depends on how many rows
+# share the call (no BLAS kernel choice by row count).
+
+
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """A constant 2x2 ``mat`` applied to every row of a ``(k, 2)`` stack."""
+    return vec[:, :1] * mat[:, 0] + vec[:, 1:] * mat[:, 1]
+
+
+def _rotate(name: str, theta: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``exp(-i theta/2 P) vec = cos(theta/2) vec - i sin(theta/2) P vec``."""
+    half = theta / 2
+    pvec = _matvec(G.generator(name, vec.dtype), vec)
+    return np.cos(half)[:, None] * vec - 1j * np.sin(half)[:, None] * pvec
+
+
+def _rows(arr: np.ndarray, rows: int, batch: int) -> np.ndarray:
+    """Lift a constant ``(1, ...)`` or per-patch ``(p, ...)`` stack to rows.
+
+    Lifting copies values exactly, so a row computes the same bits whether
+    its patch-level factors were lifted early or late.
+    """
+    if arr.shape[0] == rows:
+        return arr
+    return np.repeat(arr, rows if arr.shape[0] == 1 else batch, axis=0)
+
+
+def _kron_vecs(a: np.ndarray, b: np.ndarray, rows: int, batch: int):
+    """Row-wise Kronecker product of ``(k, da)`` and ``(k', db)`` stacks."""
+    if a.shape[0] != b.shape[0] and 1 not in (a.shape[0], b.shape[0]):
+        a, b = _rows(a, rows, batch), _rows(b, rows, batch)
+    out = a[:, :, None] * b[:, None, :]
+    return out.reshape(out.shape[0], -1)
+
+
 class StackedGradContext:
     """Accumulators and scratch threaded through an adjoint walk.
 
@@ -157,6 +207,144 @@ class StackedGradContext:
 # ---------------------------------------------------------------------------
 # Instructions
 # ---------------------------------------------------------------------------
+
+
+class _SProductPrep:
+    """The leading single-qubit layer on |0...0>, built as a product state.
+
+    ``runs`` holds, per wire, the single-qubit run that precedes the first
+    multi-wire op on that wire (empty for wires that start with one).  On
+    |0...0> these runs only ever build a product state, so binding computes
+    one 2-vector ``u_w = U_w|0>`` per wire — the gates act on the vector
+    directly — and applying takes a pairwise (tree) Kronecker product of
+    the ``u_w`` into the ``(p * batch, 2**n)`` state.  The incoming state
+    is ignored: this instruction *is* the state preparation.
+
+    The adjoint needs no full-state checkpoint.  Contracting the cotangent
+    with every other wire's conjugated vector gives a reduced cotangent
+    ``mu_w`` per row; a member ``j`` of wire ``w``'s run then gets
+    ``Im <beta_j| G_j |u_j>``, with ``u_j`` the run's state after gate
+    ``j`` and ``beta_j`` = ``mu_w`` pulled back through the gates after
+    ``j`` — the ``Im <lambda| G_eff |psi>`` identity :class:`_SDense`
+    uses, for a rank-one transition matrix.
+    """
+
+    __slots__ = ("n_wires", "runs", "touched")
+
+    def __init__(self, n_wires, runs):
+        self.n_wires = n_wires
+        self.runs = runs  # one tuple of Operations per wire
+        self.touched = frozenset(range(n_wires))
+
+    def bind(self, inputs, weights, p, batch, with_grads, group_data, cdtype):
+        """Per wire: the final vector and, with grads, the member trail.
+
+        A vector stays constant ``(1, 2)`` until a weight-sourced gate makes
+        it per-patch ``(p, 2)`` and an input-sourced one per-row
+        ``(p * batch, 2)``; each trail entry is ``(op, theta, ket)`` with
+        ``ket`` the vector after ``op``.
+        """
+        rows = p * batch
+        ket0 = np.zeros((1, 2), dtype=cdtype)
+        ket0[0, 0] = 1.0
+        vecs, trails = [], []
+        for run in self.runs:
+            vec, trail = ket0, []
+            for op in run:
+                theta = None
+                if op.source is None:
+                    vec = _matvec(G.fixed_gate(op.name, cdtype), vec)
+                else:
+                    kind, index = op.source
+                    if kind == "weight":
+                        theta = weights[:, index]
+                        if vec.shape[0] == rows != p:
+                            theta = np.repeat(theta, batch)
+                    else:
+                        theta = inputs[:, index]
+                        vec = _rows(vec, rows, batch)
+                    vec = _rotate(op.name, theta, vec)
+                trail.append((op, theta, vec))
+            vecs.append(vec)
+            trails.append(tuple(trail) if with_grads else ())
+        return vecs, trails
+
+    def apply(self, state, data, p, batch, backend):
+        rows = p * batch
+        layer = list(data[0])
+        while len(layer) > 1:
+            paired = [
+                _kron_vecs(layer[i], layer[i + 1], rows, batch)
+                for i in range(0, len(layer) - 1, 2)
+            ]
+            layer = paired + layer[len(paired) * 2:]
+        (state,) = layer
+        state = _rows(state, rows, batch)
+        # One wire, already per-row: never hand out the bound vector.
+        return state.copy() if state is data[0][0] else state
+
+    def needs_state(self, data):
+        return False
+
+    def backward_step(self, lam, data, checkpoint, ctx):
+        vecs, trails = data
+        needed = [
+            k for k, trail in enumerate(trails)
+            if any(op.source is not None for op, __, ___ in trail)
+        ]
+        if not needed:
+            return lam
+        rows, batch = lam.shape[0], ctx.batch
+        conj = [np.conj(_rows(vec, rows, batch)) for vec in vecs]
+        # envs[k]: the conjugated product of the wires after k,
+        # (rows, 2**(n - 1 - k)).
+        envs = {}
+        acc = np.ones((rows, 1), dtype=lam.dtype)
+        for k in range(self.n_wires - 1, needed[0] - 1, -1):
+            envs[k] = acc
+            if k > needed[0]:
+                acc = _kron_vecs(conj[k], acc, rows, batch)
+        # Sweep the wires before k out of the cotangent, one at a time.
+        swept = lam
+        for k in range(needed[-1] + 1):
+            split = swept.reshape(rows, 2, -1)
+            if k in needed:
+                mu = (split * envs[k][:, None, :]).sum(axis=2)
+                self._run_grads(trails[k], mu, ctx)
+            if k < needed[-1]:
+                swept = (split[:, 0] * conj[k][:, :1]
+                         + split[:, 1] * conj[k][:, 1:])
+        # The cotangent at |0...0> feeds nothing (there is no embedding to
+        # chain through), so the walk ends here without pulling it back.
+        return lam
+
+    @staticmethod
+    def _run_grads(trail, mu, ctx):
+        """Walk one wire's run backwards from its reduced cotangent ``mu``."""
+        p, batch = ctx.p, ctx.batch
+        rows = mu.shape[0]
+        first = min(
+            j for j, (op, __, ___) in enumerate(trail) if op.source is not None
+        )
+        beta = mu
+        for j in range(len(trail) - 1, first - 1, -1):
+            op, theta, ket = trail[j]
+            if op.source is None:
+                undo = _dagger(G.fixed_gate(op.name, beta.dtype))
+                beta = _matvec(undo, beta)
+                continue
+            gket = _matvec(
+                G.generator(op.name, beta.dtype), _rows(ket, rows, batch)
+            )
+            per = (np.conj(beta[:, 0]) * gket[:, 0]
+                   + np.conj(beta[:, 1]) * gket[:, 1]).imag
+            kind, index = op.source
+            if kind == "weight":
+                ctx.grad_weights[:, index] += per.reshape(p, batch).sum(axis=1)
+            else:
+                ctx.grad_inputs[:, index] += per
+            if j > first:
+                beta = _rotate(op.name, -_rows(theta, rows, batch), beta)
 
 
 class _SDense:
@@ -516,6 +704,8 @@ class StackedPlan:
             backend=None):
         """Execute the bound program on a ``(p * batch, 2**n)`` state.
 
+        ``state`` is the amplitude-embedded initial state, or None for a
+        circuit on |0...0>, whose head :class:`_SProductPrep` builds it.
         Instructions are *pure* — each apply returns a fresh array and
         never mutates its input.  When ``record`` is a list, the
         post-instruction state is appended (by reference, no copies) for
@@ -547,7 +737,8 @@ class CompiledPlan(StackedPlan):
 
     Same instructions, same kernels, same checkpointed transition-matrix
     backward — only the entry-point shapes differ: ``bind`` takes a flat
-    ``(n_weights,)`` vector and ``run`` a plain ``(batch, 2**n)`` state.
+    ``(n_weights,)`` vector and ``run`` a plain ``(batch, 2**n)`` state
+    (or None, for a circuit its product-state prep starts).
     :func:`compiled_plan` shares the lowered instruction list with
     :func:`stacked_plan`, so a circuit used both ways is lowered once.
     """
@@ -566,12 +757,11 @@ class CompiledPlan(StackedPlan):
             with_grads, cdtype,
         )
 
-    def run(self, state: np.ndarray, bound: list, record=None,
+    def run(self, state, bound: list, batch: int, record=None,
             backend=None) -> np.ndarray:
         """Execute the bound program on a ``(batch, 2**n)`` state."""
         return StackedPlan.run(
-            self, state, bound, 1, state.shape[0], record=record,
-            backend=backend,
+            self, state, bound, 1, batch, record=record, backend=backend,
         )
 
 
@@ -674,9 +864,18 @@ def compile_stacked(circuit: Circuit) -> StackedPlan:
     open_runs: dict[int, list[Operation]] = {}
     group_index: dict[tuple, int] = {}
     group_runs: list[list[tuple[Operation, ...]]] = []
+    # On |0...0>, each wire's first flushed run is its leading layer: it
+    # commutes with everything lowered so far (which never touched the
+    # wire), so it moves into the product-state prep at the head.
+    head: dict[int, tuple[Operation, ...]] | None = (
+        {} if circuit.state_prep is None else None
+    )
 
     def flush(wire: int) -> None:
         members = open_runs.pop(wire, None)
+        if head is not None and wire not in head:
+            head[wire] = tuple(members or ())
+            return
         if not members:
             return
         members = tuple(members)
@@ -727,6 +926,9 @@ def compile_stacked(circuit: Circuit) -> StackedPlan:
             instructions.append(_lower_two_qubit(op, n))
     for wire in sorted(open_runs):
         flush(wire)
+    if head is not None:
+        runs = tuple(head.get(wire, ()) for wire in range(n))
+        instructions.insert(0, _SProductPrep(n, runs))
 
     instructions = _schedule_stacked(instructions)
     groups = [_SStaticGroup(runs) for runs in group_runs]

@@ -4,6 +4,7 @@ from .history import EpochRecord, History
 from .losses import LossTerms, autoencoder_loss
 from .parallel import ParallelTrainStep, ShardedTrainStep
 from .strategies import (
+    NonFiniteGradientError,
     NonFiniteLossError,
     SequentialTrainStep,
     TrainStep,
@@ -29,6 +30,7 @@ __all__ = [
     "ShardedTrainStep",
     "ParallelTrainStep",
     "NonFiniteLossError",
+    "NonFiniteGradientError",
     "clip_grad_norm",
     "evaluate_reconstruction",
     "PAPER_QUANTUM_LR",

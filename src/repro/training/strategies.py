@@ -16,7 +16,8 @@ itself.  The contract:
   :class:`~repro.training.losses.LossTerms`.  The trainer's model holds
   the post-update parameters when it returns, whatever machinery computed
   the gradients.  A non-finite batch loss raises
-  :class:`NonFiniteLossError` instead, with no update applied.
+  :class:`NonFiniteLossError` instead (a non-finite gradient raises
+  :class:`NonFiniteGradientError`), with no update applied.
 * ``close()`` releases whatever ``setup`` acquired; the trainer calls it
   on every exit path (including a ``step`` raising mid-epoch), and it
   must be idempotent.
@@ -39,12 +40,18 @@ __all__ = [
     "TrainStep",
     "SequentialTrainStep",
     "NonFiniteLossError",
+    "NonFiniteGradientError",
     "clip_grad_norm",
 ]
 
 
 class NonFiniteLossError(ValueError):
     """A training step's loss was NaN or infinite; no update was applied."""
+
+
+class NonFiniteGradientError(ValueError):
+    """A finite loss produced a NaN or infinite gradient; no update was
+    applied."""
 
 
 def clip_grad_norm(parameters, max_norm: float) -> float:
@@ -107,16 +114,24 @@ class TrainStep:
         batch's (reduced) loss, so clipping and the optimizer see
         identical arithmetic whatever computed them.
 
-        A non-finite loss raises :class:`NonFiniteLossError` before
-        clipping or ``optimizer.step``: one NaN row would otherwise make
-        every gradient, and after the step every parameter and optimizer
-        moment, non-finite.
+        A non-finite loss raises :class:`NonFiniteLossError`, and a finite
+        loss with a non-finite gradient :class:`NonFiniteGradientError`
+        naming the first such parameter, both before clipping or
+        ``optimizer.step``: one NaN would otherwise make every parameter
+        and optimizer moment non-finite after the step.
         """
         if not math.isfinite(terms.total):
             raise NonFiniteLossError(
                 f"non-finite training loss ({terms}); parameters and "
                 "optimizer state left at their pre-step values"
             )
+        for name, param in self.model.named_parameters():
+            if param.grad is not None and not np.isfinite(param.grad).all():
+                raise NonFiniteGradientError(
+                    f"non-finite gradient for parameter {name!r} (training "
+                    f"loss {terms.total:g} is finite); parameters and "
+                    "optimizer state left at their pre-step values"
+                )
         if self.config.max_grad_norm is not None:
             clip_grad_norm(self.model.parameters(), self.config.max_grad_norm)
         self.optimizer.step()

@@ -31,6 +31,7 @@ from ..nn.tensor import Tensor, no_grad
 from ..quantum.backends import resolve_backend, use_backend
 from .history import EpochRecord, History
 from .strategies import (
+    NonFiniteGradientError,
     NonFiniteLossError,
     SequentialTrainStep,
     TrainStep,
@@ -185,8 +186,9 @@ class Trainer:
                 for indices in loader.iter_index_batches():
                     try:
                         terms = self.strategy.step(indices)
-                    except NonFiniteLossError as exc:
-                        raise NonFiniteLossError(
+                    except (NonFiniteLossError,
+                            NonFiniteGradientError) as exc:
+                        raise type(exc)(
                             f"epoch {epoch}, batch {n_batches + 1}: {exc}"
                         ) from None
                     epoch_total += terms.total

@@ -131,8 +131,15 @@ class TestCompiledMatchesNaive:
 
 
 class TestPlanLowering:
+    # Each circuit here starts from an amplitude embedding: on |0...0> the
+    # leading single-qubit layer would lower into the product-state prep
+    # (TestProductPrep) instead of the fusion each test names.
+
     def test_sel_rot_triples_fuse_into_pair_blocks(self):
-        circuit = Circuit(4).strongly_entangling_layers(2).measure_expval()
+        circuit = (
+            Circuit(4).amplitude_embedding(16).strongly_entangling_layers(2)
+            .measure_expval()
+        )
         plan = compile_circuit(circuit)
         dense = [i for i in plan.instructions if isinstance(i, _SDense)]
         perms = [i for i in plan.instructions if isinstance(i, _SPermutation)]
@@ -150,22 +157,28 @@ class TestPlanLowering:
     def test_commuting_gates_fuse_across_other_wires(self):
         # RY(0), CNOT(1,2), RY(0): the CNOT does not touch wire 0, so the
         # two RYs fuse into a single run.
-        circuit = Circuit(3).ry(0).cnot(1, 2).ry(0).measure_expval()
+        circuit = (
+            Circuit(3).amplitude_embedding(8).ry(0).cnot(1, 2).ry(0)
+            .measure_expval()
+        )
         plan = compile_circuit(circuit)
         dense = [i for i in plan.instructions if isinstance(i, _SDense)]
         assert len(dense) == 1
         assert len(dense[0].slots[0][0]) == 2
 
     def test_two_qubit_gate_breaks_runs_on_its_wires(self):
-        circuit = Circuit(2).ry(0).cnot(0, 1).ry(0).measure_expval()
+        circuit = (
+            Circuit(2).amplitude_embedding(4).ry(0).cnot(0, 1).ry(0)
+            .measure_expval()
+        )
         plan = compile_circuit(circuit)
         dense = [i for i in plan.instructions if isinstance(i, _SDense)]
         assert len(dense) == 2
 
     def test_kernel_specialization(self):
         circuit = (
-            Circuit(3).rz(0).z(1).x(2).cz(0, 1).cnot(0, 2).crz(0, 1)
-            .measure_probs()
+            Circuit(3).amplitude_embedding(8).rz(0).z(1).x(2).cz(0, 1)
+            .cnot(0, 2).crz(0, 1).measure_probs()
         )
         plan = compile_circuit(circuit)
         kinds = [type(i).__name__ for i in plan.instructions]

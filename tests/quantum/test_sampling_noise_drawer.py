@@ -304,7 +304,10 @@ class TestDrawerOnFusedPlans:
         from repro.quantum import compiled_plan
         from repro.quantum.engine import _SDense
 
-        circuit = Circuit(2).rot(0).rot(1).measure_expval()
+        # Amplitude prep keeps the Rot runs out of the product-state prep.
+        circuit = (
+            Circuit(2).amplitude_embedding(4).rot(0).rot(1).measure_expval()
+        )
         plan = compiled_plan(circuit)
         pairs = [
             i for i in plan.instructions
@@ -312,8 +315,8 @@ class TestDrawerOnFusedPlans:
         ]
         assert len(pairs) == 1  # the two Rot runs merged into one 4x4 block
         art = draw(circuit)
-        lines = art.splitlines()
-        assert "RZ(w0)" in lines[0] and "RZ(w3)" in lines[1]
+        lines = art.splitlines()  # line 0 names the amplitude prep
+        assert "RZ(w0)" in lines[1] and "RZ(w3)" in lines[2]
 
 
 class TestSamplingValidationAndVectorizedDraw:

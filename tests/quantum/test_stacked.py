@@ -187,7 +187,11 @@ class TestStackedPlanLowering:
         # 7 wires, 5 layers: per layer the Rot runs merge into three 4x4
         # pair blocks + one single, and the 7-CNOT ring composes into a
         # single gather.
-        circuit = Circuit(7).strongly_entangling_layers(5).measure_expval()
+        # Amplitude prep keeps the first layer out of the product-state prep.
+        circuit = (
+            Circuit(7).amplitude_embedding(128).strongly_entangling_layers(5)
+            .measure_expval()
+        )
         plan = compile_stacked(circuit)
         dense = [i for i in plan.instructions if isinstance(i, _SDense)]
         perms = [i for i in plan.instructions if isinstance(i, _SPermutation)]
@@ -197,7 +201,10 @@ class TestStackedPlanLowering:
         assert plan.n_instructions == 25
 
     def test_pair_geometry(self):
-        circuit = Circuit(4).strongly_entangling_layers(1).measure_expval()
+        circuit = (
+            Circuit(4).amplitude_embedding(16).strongly_entangling_layers(1)
+            .measure_expval()
+        )
         plan = compile_stacked(circuit)
         pairs = [
             i for i in plan.instructions

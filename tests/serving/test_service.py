@@ -5,8 +5,10 @@ not allclose — to sequential per-request execution.  This holds because
 (a) each sample request's latents come from its own seeded stream exactly
 as ``model.sample`` draws them, (b) stacked passes are row-independent
 (``Tensor.transpose`` materializes contiguously so the GEMM kernel choice
-cannot vary with row count), and (c) scoring is per-row math under the
-padding-exactness contract of :mod:`repro.chem.batch`.
+cannot vary with row count, and the quantum measurement contracts
+probabilities with Pauli-Z signs in a row-invariant einsum instead of a
+GEMM whose kernel changes with row count), and (c) scoring is per-row math
+under the padding-exactness contract of :mod:`repro.chem.batch`.
 """
 
 import threading
@@ -173,6 +175,34 @@ class TestBatchedEqualsSequential:
         expected = per_molecule_scores(matrices)
         for name in expected:
             assert (scores[name] == expected[name]).all()
+
+
+class TestPaperScaleFusedDecode:
+    """The paper SQ-VAE (1024-d, 4 patches, 5 layers): a fused decode of
+    many requests' latents equals the concatenated 4-row decodes, ``==``.
+
+    At 40 rows and up this used to differ in every row by up to ~7e-16,
+    because the expectation contraction ran as a GEMM whose kernel changed
+    with the row count.  (A single-row decode still differs: GEMV vs GEMM
+    in the classical maps; the serving contract fuses whole requests.)
+    """
+
+    @pytest.fixture(scope="class")
+    def decoded(self):
+        model = ScalableQuantumVAE(input_dim=1024, n_patches=4, n_layers=5,
+                                   rng=np.random.default_rng(7))
+        latents = np.random.default_rng(3).normal(size=(256, model.latent_dim))
+        sequential = np.concatenate([
+            decode_latents(model, latents[i:i + 4])
+            for i in range(0, len(latents), 4)
+        ])
+        return model, latents, sequential
+
+    @pytest.mark.parametrize("rows", [40, 64, 256])
+    def test_fused_equals_four_row_sequential(self, decoded, rows):
+        model, latents, sequential = decoded
+        fused = decode_latents(model, latents[:rows])
+        assert (fused == sequential[:rows]).all()
 
 
 class TestValidation:

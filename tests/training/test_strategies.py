@@ -8,6 +8,7 @@ from repro.models import ClassicalAE, build_model
 from repro.nn import Parameter
 from repro.nn.schedulers import StepLR
 from repro.training import (
+    NonFiniteGradientError,
     NonFiniteLossError,
     SequentialTrainStep,
     ShardedTrainStep,
@@ -169,6 +170,70 @@ class TestNonFiniteLoss:
             assert np.isfinite(param.data).all(), name
             assert np.array_equal(param.data, strategy.before[name]), name
         assert trainer.optimizer._t == strategy.adam_steps
+
+
+class TestNonFiniteGradient:
+    """A finite loss with one non-finite gradient entry must not step."""
+
+    @staticmethod
+    def _poisoning(strategy_cls, *args, at_batch=3):
+        class Poison(strategy_cls):
+            batches = 0
+
+            def step(self, indices):
+                self.batches += 1
+                self.before = {
+                    name: p.data.copy()
+                    for name, p in self.model.named_parameters()
+                }
+                self.adam = tuple(
+                    {key: np.copy(value) for key, value in table.items()}
+                    for table in (self.optimizer._m, self.optimizer._v)
+                ) + (dict(self.optimizer._t),)
+                return super().step(indices)
+
+            def apply_update(self, terms):
+                self.loss = terms.total
+                if self.batches == at_batch:
+                    name, param = list(self.model.named_parameters())[1]
+                    self.poisoned = name
+                    grad = param.grad.copy()
+                    grad.flat[0] = np.inf
+                    param.grad = grad
+                super().apply_update(terms)
+
+        return Poison(*args)
+
+    @pytest.mark.parametrize(
+        "strategy_cls, args",
+        [(SequentialTrainStep, ()), (ShardedTrainStep, (2,))],
+        ids=["sequential", "sharded"],
+    )
+    def test_raises_naming_parameter_epoch_and_batch(self, strategy_cls,
+                                                    args):
+        strategy = self._poisoning(strategy_cls, *args)
+        model = make_model()
+        config = TrainConfig(epochs=2, batch_size=8, shuffle=False,
+                             max_grad_norm=1.0)
+        trainer = Trainer(model, config, strategy=strategy)
+        with pytest.raises(NonFiniteGradientError) as info:
+            trainer.fit(toy_data(n=32))
+        message = str(info.value)
+        assert isinstance(info.value, ValueError)
+        assert message.startswith("epoch 1, batch 3: non-finite gradient "
+                                  f"for parameter {strategy.poisoned!r}")
+        assert np.isfinite(strategy.loss)
+        for name, param in model.named_parameters():
+            assert np.isfinite(param.data).all(), name
+            assert np.array_equal(param.data, strategy.before[name]), name
+        optimizer = trainer.optimizer
+        m_before, v_before, t_before = strategy.adam
+        assert optimizer._t == t_before
+        for table, before in ((optimizer._m, m_before),
+                              (optimizer._v, v_before)):
+            assert table.keys() == before.keys()
+            for key, value in before.items():
+                assert np.array_equal(table[key], value)
 
 
 class TestClipGradNormEdgeCases:
